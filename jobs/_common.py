@@ -1,7 +1,8 @@
-"""Shared SparkSession builder for the spark-submit job entrypoints.
+"""Shared SparkSession builder and experiment settings for the spark-submit
+job entrypoints.
 
-Mirrors conftest.py's session config (broadcast joins disabled, Arrow on)
-so job results match test results exactly.
+The session mirrors conftest.py's config (broadcast joins disabled, Arrow
+on) so job results match test results exactly.
 """
 from __future__ import annotations
 
@@ -27,3 +28,22 @@ def get_spark(app: str) -> SparkSession:
     )
     s.sparkContext.setLogLevel("ERROR")
     return s
+
+
+def fast_nn():
+    """Network sizes of the ``--fast`` smoke runs."""
+    from repro.core.mexi import NNParams
+
+    return NNParams(lstm_hidden=16, lstm_dense=16, lstm_epochs=8,
+                    cnn_filters=4, cnn_epochs=10, grid=16)
+
+
+def po_experiment(spark: SparkSession, fast: bool):
+    """The shared PO experiment (Tables IIa, III, IV and §IV-F): all 106
+    matchers in 5 folds, or 40 matchers in 3 folds with ``--fast``."""
+    from repro.experiments import run_po_experiment
+
+    if fast:
+        return run_po_experiment(spark, n_matchers=40, k=3, seed=0, nn=fast_nn(),
+                                 n_perm=40, grid=16)
+    return run_po_experiment(spark, seed=0, n_perm=100)

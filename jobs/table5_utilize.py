@@ -12,23 +12,15 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import get_spark  # noqa: E402
+from _common import get_spark, po_experiment  # noqa: E402
 
 
 def main(fast: bool = False) -> None:
     spark = get_spark("table5-utilize")
-    from repro.core.mexi import NNParams
-    from repro.experiments import run_po_experiment, utilization_tables
+    from repro.experiments import utilization_tables
 
-    if fast:
-        nn = NNParams(lstm_hidden=16, lstm_dense=16, lstm_epochs=8,
-                      cnn_filters=4, cnn_epochs=10, grid=16)
-        exp = run_po_experiment(spark, n_matchers=40, k=3, seed=0, nn=nn,
-                                n_perm=40, grid=16)
-        ut = utilization_tables(spark, exp, early_limit=15)
-    else:
-        exp = run_po_experiment(spark, seed=0, n_perm=100)
-        ut = utilization_tables(spark, exp, early_limit=30)
+    exp = po_experiment(spark, fast)
+    ut = utilization_tables(spark, exp, early_limit=15 if fast else 30)
     print("\nFig. 10 (as table) — performance of identified experts:")
     print(ut["perf_full"].round(2).to_string(index=False))
     print("\nFig. 11 (as table) — early identification:")

@@ -32,7 +32,7 @@ from repro.core.measures import (
     preprocess_history,
 )
 from repro.core.mouse import heatmap_counts
-from repro.core.sequential import SeqFeatureExtractor, decision_sequences
+from repro.core.sequential import SeqFeatureExtractor, consensus_map, decision_sequences
 from repro.core.spatial import SpaFeatureExtractor, heatmap_tensors
 from repro.core.submatchers import expand_submatchers, parent_of, spec_of, submatcher_sizes
 from repro.humansim.cohort import Cohort
@@ -169,12 +169,6 @@ def prepare(
     )
 
 
-def _consensus_from_entries(matrix_entries: pd.DataFrame, train_ids: list[str]) -> dict:
-    sub = matrix_entries[matrix_entries["matcher_id"].isin(train_ids)]
-    counts = sub.groupby(["row_i", "col_j"])["matcher_id"].nunique()
-    return {(int(i), int(j)): int(n) for (i, j), n in counts.items()}
-
-
 class _Constant:
     """Degenerate classifier for single-class training labels."""
 
@@ -274,60 +268,40 @@ class MExIModel:
     delta_res: float
     delta_cal: float
     transformed: pd.DataFrame = field(repr=False)  # Φ(D) rows for every id
-    consensus: dict = field(repr=False, default_factory=dict)
-    seq_ex: SeqFeatureExtractor | None = field(repr=False, default=None)
-    spa_ex: SpaFeatureExtractor | None = field(repr=False, default=None)
+    # late-fusion feature set ("Seq"/"Spa") → its fitted extractor
+    extractors: dict = field(repr=False, default_factory=dict)
 
     def transform_bundle(self, data: "PreparedData", ids: list[str]) -> pd.DataFrame:
         """Φ(D) rows for ``ids`` of a *different* prepared bundle, using
-        this model's trained extractors and train-time consensus map.
+        this model's trained extractors (and their train-time consensus).
 
         Used for cross-domain prediction (Table IIb: PO-trained model on
         OAEI matchers) and early identification (§IV-F: features from
         truncated histories)."""
-        rows = data.features[data.features["matcher_id"].isin(ids)].copy()
-        if self.seq_ex is not None:
-            seqs = data.sequences[data.sequences["matcher_id"].isin(ids)]
-            rows = rows.merge(
-                self.seq_ex.transform(seqs, self.consensus),
-                on=["matcher_id", "task"],
-                how="left",
-            )
-        if self.spa_ex is not None:
-            rows = rows.merge(
-                self.spa_ex.transform(
-                    data.heatmaps, rows["matcher_id"].tolist(), rows["task"].tolist()
-                ),
-                on=["matcher_id", "task"],
-                how="left",
-            )
+        rows = data.features[data.features["matcher_id"].isin(ids)]
+        for ex in self.extractors.values():
+            feats = ex.transform(data, rows["matcher_id"].tolist())
+            rows = rows.merge(feats, on="matcher_id", how="left")
         return rows
+
+    def _label_frame(self, rows: pd.DataFrame, ids: list[str], method: str) -> pd.DataFrame:
+        """Per-label classifier ``method`` outputs on the ``ids`` rows."""
+        X = rows.set_index("matcher_id").loc[ids][self.feature_cols].to_numpy(dtype=float)
+        out = pd.DataFrame({"matcher_id": ids})
+        for lab in LABELS:
+            out[lab] = getattr(self.classifiers[lab], method)(X)
+        return out
 
     def predict_on(self, data: "PreparedData", ids: list[str]) -> pd.DataFrame:
         """Predict labels for matchers of another prepared bundle."""
-        rows = self.transform_bundle(data, ids).set_index("matcher_id").loc[ids]
-        X = rows[self.feature_cols].to_numpy(dtype=float)
-        out = pd.DataFrame({"matcher_id": ids})
-        for lab in LABELS:
-            out[lab] = self.classifiers[lab].predict(X)
-        return out
+        return self._label_frame(self.transform_bundle(data, ids), ids, "predict")
 
     def predict(self, ids: list[str]) -> pd.DataFrame:
         """Binary-relevance predictions for the four expertise labels."""
-        rows = self.transformed.set_index("matcher_id").loc[ids]
-        X = rows[self.feature_cols].to_numpy(dtype=float)
-        out = pd.DataFrame({"matcher_id": ids})
-        for lab in LABELS:
-            out[lab] = self.classifiers[lab].predict(X)
-        return out
+        return self._label_frame(self.transformed, ids, "predict")
 
     def predict_proba(self, ids: list[str]) -> pd.DataFrame:
-        rows = self.transformed.set_index("matcher_id").loc[ids]
-        X = rows[self.feature_cols].to_numpy(dtype=float)
-        out = pd.DataFrame({"matcher_id": ids})
-        for lab in LABELS:
-            out[lab] = self.classifiers[lab].predict_proba(X)
-        return out
+        return self._label_frame(self.transformed, ids, "predict_proba")
 
 
 @dataclass
@@ -340,11 +314,9 @@ class _TransformStage:
     transformed: pd.DataFrame
     label_lookup: pd.DataFrame  # labels of REAL matchers, matcher_id-indexed
     fit_ids: list[str]
-    consensus: dict
     delta_res: float
     delta_cal: float
-    seq_ex: SeqFeatureExtractor | None
-    spa_ex: SpaFeatureExtractor | None
+    extractors: dict  # late-fusion feature set → extractor fitted on fit_ids
 
     def labels_for(self, ids: list[str]) -> pd.DataFrame:
         """Labels for real or virtual ids (virtuals inherit the parent's)."""
@@ -357,14 +329,21 @@ def _labels_for(label_lookup: pd.DataFrame, ids: list[str]) -> pd.DataFrame:
     return rows
 
 
-def _overlay_oof(full: pd.DataFrame, oof: pd.DataFrame) -> pd.DataFrame:
-    """Replace the full-fit network coefficients with out-of-fold ones
-    for the rows that have them (the classifier-training rows)."""
-    out = full.set_index("matcher_id")
-    oof = oof.set_index("matcher_id")
-    cols = [c for c in oof.columns if c != "task"]
-    out.loc[oof.index, cols] = oof[cols]
-    return out.reset_index()
+# Seed of the out-of-fold half-h network of each late-fusion set: seed + offset + h.
+_OOF_SEED_OFFSET = {"Seq": 7, "Spa": 13}
+
+
+def _cross_fit(make, data, ids, fit_ids, halves, label_lookup, *, seed, oof_seed):
+    """Fit ``make(seed)`` on ``fit_ids`` and score ``ids``, then overwrite
+    the fit rows with out-of-fold scores: a network trained on each of
+    the two ``halves`` of the fit rows scores the other half."""
+    ex = make(seed).fit(data, _labels_for(label_lookup, fit_ids))
+    feats = ex.transform(data, ids).set_index("matcher_id")
+    for h, (tr, te) in enumerate(zip(halves, halves[::-1])):
+        ex_h = make(oof_seed + h).fit(data, _labels_for(label_lookup, tr))
+        oof = ex_h.transform(data, te).set_index("matcher_id")
+        feats.loc[oof.index, oof.columns] = oof
+    return ex, feats.reset_index()
 
 
 def build_transform_stage(
@@ -397,8 +376,19 @@ def build_transform_stage(
     # 2. training rows: real train matchers + their sub-matchers
     fit_ids = list(train_ids) + data.sub_ids_for(train_ids, submatcher)
 
-    # 3. train-only consensus for the sequential channel
-    consensus = _consensus_from_entries(data.matrix_entries, train_ids)
+    # 3. one extractor factory (seed → unfitted extractor) per late-fusion
+    # set; the sequential one reads the train-only consensus map
+    factories = {}
+    if need_seq:
+        consensus = consensus_map(data.matrix_entries, train_ids)
+        factories["Seq"] = lambda s: SeqFeatureExtractor(
+            consensus=consensus, hidden=nn.lstm_hidden, dense=nn.lstm_dense,
+            epochs=nn.lstm_epochs, max_len=nn.max_len, seed=s,
+        )
+    if need_spa:
+        factories["Spa"] = lambda s: SpaFeatureExtractor(
+            grid=data.grid, filters=nn.cnn_filters, epochs=nn.cnn_epochs, seed=s
+        )
 
     # 4. late fusion: train networks on fit rows, transform every id.
     # The classifier must NOT see the networks' optimistic predictions on
@@ -407,79 +397,28 @@ def build_transform_stage(
     # the fit set is split in halves, a network trained on each half
     # scores the other, while the final full-fit networks score all
     # remaining (test-time) rows.
-    transformed = data.features.copy()
-    fit_labels = _labels_for(label_lookup, fit_ids)
     rng = np.random.default_rng(seed + 101)
     order = rng.permutation(len(fit_ids))
-    use_oof = len(fit_ids) >= 8  # tiny test fixtures skip cross-fitting
-    halves = [
-        [fit_ids[i] for i in order[: len(fit_ids) // 2]],
-        [fit_ids[i] for i in order[len(fit_ids) // 2 :]],
-    ]
-    seq_ex = spa_ex = None
-    if need_seq:
-        seq_ex = SeqFeatureExtractor(
-            hidden=nn.lstm_hidden, dense=nn.lstm_dense, epochs=nn.lstm_epochs,
-            max_len=nn.max_len, seed=seed,
+    half = len(fit_ids) // 2
+    halves = [[fit_ids[i] for i in order[:half]], [fit_ids[i] for i in order[half:]]]
+    if len(fit_ids) < 8:  # tiny test fixtures skip cross-fitting
+        halves = []
+    ids = data.features["matcher_id"].tolist()
+    transformed = data.features.copy()
+    extractors = {}
+    for name, make in factories.items():
+        extractors[name], feats = _cross_fit(
+            make, data, ids, fit_ids, halves, label_lookup,
+            seed=seed, oof_seed=seed + _OOF_SEED_OFFSET[name],
         )
-        fit_seqs = data.sequences[data.sequences["matcher_id"].isin(fit_ids)]
-        seq_ex.fit(fit_seqs, fit_labels, consensus, LABELS)
-        seq_feats = seq_ex.transform(data.sequences, consensus)
-        oof_parts = []
-        for h in (0, 1) if use_oof else ():
-            tr_h, te_h = halves[h], halves[1 - h]
-            ex_h = SeqFeatureExtractor(
-                hidden=nn.lstm_hidden, dense=nn.lstm_dense, epochs=nn.lstm_epochs,
-                max_len=nn.max_len, seed=seed + 7 + h,
-            )
-            ex_h.fit(
-                fit_seqs[fit_seqs["matcher_id"].isin(tr_h)],
-                _labels_for(label_lookup, tr_h),
-                consensus,
-                LABELS,
-            )
-            oof_parts.append(
-                ex_h.transform(
-                    data.sequences[data.sequences["matcher_id"].isin(te_h)], consensus
-                )
-            )
-        if oof_parts:
-            seq_feats = _overlay_oof(seq_feats, pd.concat(oof_parts, ignore_index=True))
-        transformed = transformed.merge(seq_feats, on=["matcher_id", "task"], how="left")
-    if need_spa:
-        spa_ex = SpaFeatureExtractor(
-            grid=data.grid, filters=nn.cnn_filters, epochs=nn.cnn_epochs, seed=seed
-        )
-        spa_ex.fit(data.heatmaps, fit_labels, LABELS)
-        spa_feats = spa_ex.transform(
-            data.heatmaps,
-            transformed["matcher_id"].tolist(),
-            transformed["task"].tolist(),
-        )
-        oof_parts = []
-        for h in (0, 1) if use_oof else ():
-            tr_h, te_h = halves[h], halves[1 - h]
-            ex_h = SpaFeatureExtractor(
-                grid=data.grid, filters=nn.cnn_filters, epochs=nn.cnn_epochs,
-                seed=seed + 13 + h,
-            )
-            ex_h.fit(data.heatmaps, _labels_for(label_lookup, tr_h), LABELS)
-            te_tasks = (
-                transformed.set_index("matcher_id")["task"].loc[te_h].tolist()
-            )
-            oof_parts.append(ex_h.transform(data.heatmaps, te_h, te_tasks))
-        if oof_parts:
-            spa_feats = _overlay_oof(spa_feats, pd.concat(oof_parts, ignore_index=True))
-        transformed = transformed.merge(spa_feats, on=["matcher_id", "task"], how="left")
+        transformed = transformed.merge(feats, on="matcher_id", how="left")
     return _TransformStage(
         transformed=transformed,
         label_lookup=label_lookup,
         fit_ids=fit_ids,
-        consensus=consensus,
         delta_res=delta_res,
         delta_cal=delta_cal,
-        seq_ex=seq_ex,
-        spa_ex=spa_ex,
+        extractors=extractors,
     )
 
 
@@ -509,9 +448,7 @@ def fit_from_stage(
         delta_res=stage.delta_res,
         delta_cal=stage.delta_cal,
         transformed=stage.transformed,
-        consensus=stage.consensus,
-        seq_ex=stage.seq_ex if "Seq" in include_sets else None,
-        spa_ex=stage.spa_ex if "Spa" in include_sets else None,
+        extractors={s: ex for s, ex in stage.extractors.items() if s in include_sets},
     )
 
 

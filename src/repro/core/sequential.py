@@ -57,16 +57,13 @@ def decision_sequences(decisions: DataFrame) -> pd.DataFrame:
     return pdf.drop(columns=["seq"])
 
 
-def consensus_map(matrix: DataFrame, train_ids: list[str]) -> dict[tuple[int, int], int]:
+def consensus_map(matrix_entries: pd.DataFrame, train_ids: list[str]) -> dict[tuple[int, int], int]:
     """π: element pair → number of train matchers with the pair in their
-    final matrix (computed on the training fold only — no leakage)."""
-    rows = (
-        matrix.where(F.col("matcher_id").isin(train_ids))
-        .groupBy("row_i", "col_j")
-        .agg(F.countDistinct("matcher_id").alias("n"))
-        .collect()
-    )
-    return {(r["row_i"], r["col_j"]): r["n"] for r in rows}
+    final matrix (computed on the training fold only — no leakage).
+    ``matrix_entries`` holds (matcher_id, row_i, col_j) final-matrix pairs."""
+    sub = matrix_entries[matrix_entries["matcher_id"].isin(train_ids)]
+    counts = sub.groupby(["row_i", "col_j"])["matcher_id"].nunique()
+    return {(int(i), int(j)): int(n) for (i, j), n in counts.items()}
 
 
 def _channel_seq(row: pd.Series, channel: str, consensus: dict) -> np.ndarray:
@@ -83,10 +80,15 @@ def _channel_seq(row: pd.Series, channel: str, consensus: dict) -> np.ndarray:
 
 
 class SeqFeatureExtractor:
-    """Trains one LSTM per channel; emits 12 late-fusion features."""
+    """Trains one LSTM per channel; emits 12 late-fusion features.
 
-    def __init__(self, *, hidden: int = 64, dense: int = 100, epochs: int = 40,
-                 max_len: int = 70, seed: int = 0) -> None:
+    ``consensus`` is the train-fold map of :func:`consensus_map` that
+    feeds the consensus channel, fixed at construction."""
+
+    def __init__(self, *, consensus: dict | None = None, hidden: int = 64,
+                 dense: int = 100, epochs: int = 40, max_len: int = 70,
+                 seed: int = 0) -> None:
+        self.consensus = consensus or {}
         self.hidden = hidden
         self.dense = dense
         self.epochs = epochs
@@ -102,45 +104,41 @@ class SeqFeatureExtractor:
             for lab in self.labels_
         ]
 
-    def fit(
-        self,
-        sequences: pd.DataFrame,
-        labels: pd.DataFrame,
-        consensus: dict,
-        label_cols: list[str],
-    ) -> "SeqFeatureExtractor":
-        """``sequences`` from :func:`decision_sequences`; ``labels`` has a
-        matcher_id column plus the binary ``label_cols``."""
-        self.labels_ = list(label_cols)
-        joined = sequences.merge(labels[["matcher_id", *label_cols]], on="matcher_id")
-        Y = joined[label_cols].to_numpy(dtype=float)
+    def _channel_seqs(self, sequences: pd.DataFrame, channel: str) -> list[np.ndarray]:
+        return [
+            _channel_seq(row, channel, self.consensus)[: self.max_len]
+            for _, row in sequences.iterrows()
+        ]
+
+    def fit(self, data, labels: pd.DataFrame) -> "SeqFeatureExtractor":
+        """Train on ``data.sequences`` (from :func:`decision_sequences`)
+        of the matchers in ``labels``: a matcher_id column plus one
+        binary column per label. Rows keep the sequence-table order."""
+        self.labels_ = [c for c in labels.columns if c != "matcher_id"]
+        joined = data.sequences.merge(labels, on="matcher_id")
+        Y = joined[self.labels_].to_numpy(dtype=float)
         for ci, ch in enumerate(SEQ_CHANNELS):
-            seqs = [
-                _channel_seq(row, ch, consensus)[: self.max_len]
-                for _, row in joined.iterrows()
-            ]
             m = LSTMClassifier(
                 1,
-                len(label_cols),
+                len(self.labels_),
                 hidden=self.hidden,
                 dense=self.dense,
                 epochs=self.epochs,
                 seed=self.seed + ci,
             )
-            m.fit(seqs, Y)
+            m.fit(self._channel_seqs(joined, ch), Y)
             self.models[ch] = m
         return self
 
-    def transform(self, sequences: pd.DataFrame, consensus: dict) -> pd.DataFrame:
+    def transform(self, data, ids: list[str]) -> pd.DataFrame:
+        """Label coefficients of the ``ids`` that have a sequence, one row
+        per matcher in sequence-table order."""
         if not self.models:
             raise RuntimeError("fit() first")
-        out = sequences[["matcher_id", "task"]].copy()
+        seqs = data.sequences[data.sequences["matcher_id"].isin(ids)]
+        out = seqs[["matcher_id"]].copy()
         for ch in SEQ_CHANNELS:
-            seqs = [
-                _channel_seq(row, ch, consensus)[: self.max_len]
-                for _, row in sequences.iterrows()
-            ]
-            P = self.models[ch].predict_proba(seqs)
+            P = self.models[ch].predict_proba(self._channel_seqs(seqs, ch))
             for li, lab in enumerate(self.labels_):
                 out[f"seq_{ch} ({LABEL_SHORT[lab]})"] = P[:, li]
         return out

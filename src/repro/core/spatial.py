@@ -52,37 +52,33 @@ class SpaFeatureExtractor:
         zero = np.zeros((self.grid, self.grid))
         return np.stack([tensors.get((mid, etype), zero) for mid in ids])
 
-    def fit(
-        self,
-        tensors: dict[tuple[str, str], np.ndarray],
-        labels: pd.DataFrame,
-        label_cols: list[str],
-    ) -> "SpaFeatureExtractor":
-        self.labels_ = list(label_cols)
+    def fit(self, data, labels: pd.DataFrame) -> "SpaFeatureExtractor":
+        """Train on ``data.heatmaps`` of the matchers in ``labels`` (a
+        matcher_id column plus one binary column per label), in the
+        order of ``labels``."""
+        self.labels_ = [c for c in labels.columns if c != "matcher_id"]
         ids = labels["matcher_id"].tolist()
-        Y = labels[label_cols].to_numpy(dtype=float)
+        Y = labels[self.labels_].to_numpy(dtype=float)
         for ei, etype in enumerate(ETYPE_NAMES):
-            X = self._stack(tensors, ids, etype)
             m = CNNClassifier(
                 self.grid,
-                len(label_cols),
+                len(self.labels_),
                 filters=self.filters,
                 epochs=self.epochs,
                 seed=self.seed + ei,
             )
-            m.fit(X, Y)
+            m.fit(self._stack(data.heatmaps, ids, etype), Y)
             self.models[etype] = m
         return self
 
-    def transform(
-        self, tensors: dict[tuple[str, str], np.ndarray], ids: list[str], tasks: list[str]
-    ) -> pd.DataFrame:
+    def transform(self, data, ids: list[str]) -> pd.DataFrame:
+        """Label coefficients of ``ids``, one row per id in that order;
+        a matcher without a heat map of some type gets a zero image."""
         if not self.models:
             raise RuntimeError("fit() first")
-        out = pd.DataFrame({"matcher_id": ids, "task": tasks})
+        out = pd.DataFrame({"matcher_id": ids})
         for etype, name in ETYPE_NAMES.items():
-            X = self._stack(tensors, ids, etype)
-            P = self.models[etype].predict_proba(X)
+            P = self.models[etype].predict_proba(self._stack(data.heatmaps, ids, etype))
             for li, lab in enumerate(self.labels_):
                 out[f"spa_{name} ({LABEL_SHORT[lab]})"] = P[:, li]
         return out

@@ -43,10 +43,13 @@ __all__ = [
     "utilization_tables",
     "population_tables",
     "MEXI_VARIANTS",
+    "MEXI_SETS",
 ]
 
 MEXI_VARIANTS = {"MExI_none": "none", "MExI_50": "50", "MExI_70": "70"}
-ABLATION_SETS = ["LRSM", "Mou", "Beh", "Seq", "Spa"]
+# MExI feature sets in classifier-column order. Not ALL_SETS: its order
+# differs, and the column order changes the trained classifiers.
+MEXI_SETS = ("LRSM", "Mou", "Beh", "Seq", "Spa")
 
 
 @dataclass
@@ -103,7 +106,7 @@ def run_po_experiment(
             stage = build_transform_stage(
                 data, tr, submatcher=spec, nn=nn, seed=fold_seed
             )
-            model = fit_from_stage(stage, ("LRSM", "Mou", "Beh", "Seq", "Spa"), seed=fold_seed)
+            model = fit_from_stage(stage, MEXI_SETS, seed=fold_seed)
             preds[name].append(model.predict(te))
             if name == "MExI_50":
                 stages_50.append(stage)
@@ -203,7 +206,7 @@ def table2b(
         preds[name] = [p]
     for name, spec in MEXI_VARIANTS.items():
         stage = build_transform_stage(data_po, tr, submatcher=spec, nn=nn, seed=seed)
-        model = fit_from_stage(stage, ("LRSM", "Mou", "Beh", "Seq", "Spa"), seed=seed)
+        model = fit_from_stage(stage, MEXI_SETS, seed=seed)
         preds[name] = [model.predict_on(data_oa, te)]
     return _accuracy_table([truth], preds, seed=seed)
 
@@ -214,11 +217,11 @@ def table3(exp: POExperiment) -> pd.DataFrame:
     Reuses the per-fold MExI_50 transform stages: only the final
     classifiers are refit per feature-set mask.
     """
-    configs: dict[str, tuple[str, ...]] = {"MExI_50": ("LRSM", "Mou", "Beh", "Seq", "Spa")}
-    for s in ABLATION_SETS:
+    configs: dict[str, tuple[str, ...]] = {"MExI_50": MEXI_SETS}
+    for s in MEXI_SETS:
         configs[f"include {s}"] = (s,)
-    for s in ABLATION_SETS:
-        configs[f"exclude {s}"] = tuple(x for x in ABLATION_SETS if x != s)
+    for s in MEXI_SETS:
+        configs[f"exclude {s}"] = tuple(x for x in MEXI_SETS if x != s)
     rows = []
     for cname, mask in configs.items():
         per_fold = []
@@ -289,10 +292,7 @@ def utilization_tables(
             data_early, tr, submatcher="none", nn=exp.nn,
             seed=exp.seed + 1000 * (fi + 1), label_data=data,
         )
-        model_e = fit_from_stage(
-            stage, ("LRSM", "Mou", "Beh", "Seq", "Spa"),
-            seed=exp.seed + 1000 * (fi + 1),
-        )
+        model_e = fit_from_stage(stage, MEXI_SETS, seed=exp.seed + 1000 * (fi + 1))
         early_sel += select_experts(model_e.predict(te))
     early_selections = dict(selections)
     early_selections.pop("MExI")

@@ -41,10 +41,12 @@ TASK_SPECS: dict[str, dict] = {
     # Reference matches are 1:n (a column may match several rows), as in
     # real PO correspondence sets; sizes are set so the simulated
     # population's recall distribution matches Fig. 8 (mean R ~ 0.33
-    # given ~55 decisions per matcher).
-    "PO": {"n_rows": 142, "n_cols": 46, "n_ref": 75, "easy_frac": 0.6},
-    "OAEI": {"n_rows": 121, "n_cols": 109, "n_ref": 80, "easy_frac": 0.45},
-    "THALIA": {"n_rows": 10, "n_cols": 9, "n_ref": 8, "easy_frac": 0.7},
+    # given ~55 decisions per matcher). ``seed_offset`` is added to the
+    # task seed so that each kind draws a different, process-independent
+    # instance for the same seed.
+    "PO": {"n_rows": 142, "n_cols": 46, "n_ref": 75, "easy_frac": 0.6, "seed_offset": 1039},
+    "OAEI": {"n_rows": 121, "n_cols": 109, "n_ref": 80, "easy_frac": 0.45, "seed_offset": 1887},
+    "THALIA": {"n_rows": 10, "n_cols": 9, "n_ref": 8, "easy_frac": 0.7, "seed_offset": 6914},
 }
 
 
@@ -104,7 +106,7 @@ def make_task(kind: str, *, seed: int = 0) -> MatchingTask:
     if kind not in TASK_SPECS:
         raise ValueError(f"unknown task kind {kind!r}; expected one of {sorted(TASK_SPECS)}")
     spec = TASK_SPECS[kind]
-    rng = np.random.default_rng(seed + hash(kind) % 10_000)
+    rng = np.random.default_rng(seed + spec["seed_offset"])
     n_rows, n_cols = spec["n_rows"], spec["n_cols"]
     n_ref = min(spec["n_ref"], n_rows)
     # 1:n planted match: distinct rows, columns may repeat.

@@ -78,6 +78,24 @@ class TestTransformStage:
         got = stage.labels_for([parent, f"{parent}#w20#0"])
         assert (got.iloc[0][LABELS].values == got.iloc[1][LABELS].values).all()
 
+    @pytest.mark.parametrize("name", ["Seq", "Spa"])
+    def test_cross_fitting(self, stage, data, name):
+        """Rows outside the fit set carry the full-fit extractor's
+        coefficients; fit rows carry out-of-fold ones instead."""
+        assert len(stage.fit_ids) >= 8
+        ids = data.features["matcher_id"].tolist()
+        full = stage.extractors[name].transform(data, ids).set_index("matcher_id")
+        cols = [c for c in full.columns if c in FEATURE_SETS[name]]
+        assert cols
+        got = stage.transformed.set_index("matcher_id")
+        rest = [m for m in ids if m not in set(stage.fit_ids)]
+        assert rest
+        pd.testing.assert_frame_equal(
+            got.loc[rest, cols], full.loc[rest, cols], check_exact=True
+        )
+        fit = got.loc[stage.fit_ids, cols].to_numpy()
+        assert (fit != full.loc[stage.fit_ids, cols].to_numpy()).any(axis=1).all()
+
     def test_thresholds_are_floats(self, stage):
         assert isinstance(stage.delta_res, float)
         assert isinstance(stage.delta_cal, float)
@@ -117,7 +135,7 @@ class TestTrainPredict:
         tr, te = split
         m = train_mexi(data, tr, submatcher="none", include_sets=("LRSM",), nn=_NN, seed=0)
         assert set(m.feature_cols) == set(FEATURE_SETS["LRSM"])
-        assert m.seq_ex is None and m.spa_ex is None
+        assert m.extractors == {}
 
     def test_unknown_set_raises(self, data, split):
         tr, _ = split

@@ -1,7 +1,10 @@
 """Φ_Seq (LSTM late fusion) and Φ_Spa (CNN late fusion) extractors."""
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.measures import LABELS
 from repro.core.mouse import heatmap_counts
@@ -56,10 +59,14 @@ class TestConsensus:
     def test_counts_match_pandas(self, spark, cohort):
         matrix = history_to_matrix(spark.createDataFrame(cohort.decisions))
         ids = cohort.matcher_ids[:5]
-        cm = consensus_map(matrix, ids)
-        pdf = matrix.toPandas()
-        pdf = pdf[pdf.matcher_id.isin(ids)]
-        expected = pdf.groupby(["row_i", "col_j"])["matcher_id"].nunique()
+        cm = consensus_map(matrix.toPandas(), ids)
+        expected = {
+            (r["row_i"], r["col_j"]): r["n"]
+            for r in matrix.where(F.col("matcher_id").isin(ids))
+            .groupBy("row_i", "col_j")
+            .agg(F.countDistinct("matcher_id").alias("n"))
+            .collect()
+        }
         assert len(cm) == len(expected)
         for (i, j), n in expected.items():
             assert cm[(i, j)] == n
@@ -68,7 +75,7 @@ class TestConsensus:
         """Consensus is higher on reference pairs than on decoys —
         the signal the Seq channel exploits."""
         matrix = history_to_matrix(spark.createDataFrame(cohort.decisions))
-        cm = consensus_map(matrix, cohort.matcher_ids)
+        cm = consensus_map(matrix.toPandas(), cohort.matcher_ids)
         ref = cohort.task.reference_pairs
         ref_counts = [n for p, n in cm.items() if p in ref]
         other = [n for p, n in cm.items() if p not in ref]
@@ -79,7 +86,7 @@ class TestSeqExtractor:
     @pytest.fixture(scope="class")
     def fitted(self, seqs, labels):
         ex = SeqFeatureExtractor(hidden=4, dense=4, epochs=2, seed=0)
-        ex.fit(seqs, labels, consensus={}, label_cols=LABELS)
+        ex.fit(SimpleNamespace(sequences=seqs), labels)
         return ex
 
     def test_feature_names(self, fitted):
@@ -88,14 +95,16 @@ class TestSeqExtractor:
         assert "seq_conf (P)" in names and "seq_consensus (Cal)" in names
 
     def test_transform_shape_and_range(self, fitted, seqs):
-        out = fitted.transform(seqs, consensus={})
+        out = fitted.transform(SimpleNamespace(sequences=seqs), seqs["matcher_id"].tolist())
         assert len(out) == len(seqs)
         vals = out[fitted.feature_names()].to_numpy()
         assert ((vals >= 0) & (vals <= 1)).all()
 
     def test_transform_before_fit_raises(self, seqs):
         with pytest.raises(RuntimeError):
-            SeqFeatureExtractor().transform(seqs, consensus={})
+            SeqFeatureExtractor().transform(
+                SimpleNamespace(sequences=seqs), seqs["matcher_id"].tolist()
+            )
 
     def test_learns_confidence_signal(self, spark):
         """Labels derived from mean confidence are recoverable by the
@@ -108,8 +117,9 @@ class TestSeqExtractor:
         for l in LABELS:
             lab[l] = y.astype(int)
         ex = SeqFeatureExtractor(hidden=8, dense=8, epochs=40, seed=0)
-        ex.fit(seqs, lab, consensus={}, label_cols=LABELS)
-        out = ex.transform(seqs, consensus={})
+        data = SimpleNamespace(sequences=seqs)
+        ex.fit(data, lab)
+        out = ex.transform(data, seqs["matcher_id"].tolist())
         pred = (out["seq_conf (P)"].to_numpy() > 0.5).astype(float)
         assert (pred == y).mean() > 0.8
 
@@ -129,9 +139,10 @@ class TestSpaExtractor:
 
     def test_fit_transform(self, tensors, labels, cohort):
         ex = SpaFeatureExtractor(grid=12, filters=3, epochs=2, seed=0)
-        ex.fit(tensors, labels, LABELS)
+        data = SimpleNamespace(heatmaps=tensors)
+        ex.fit(data, labels)
         ids = cohort.matcher_ids
-        out = ex.transform(tensors, ids, ["PO"] * len(ids))
+        out = ex.transform(data, ids)
         assert len(out) == len(ids)
         assert len(ex.feature_names()) == len(ETYPE_NAMES) * len(LABELS)
         assert "spa_SMouse (Res)" in ex.feature_names()
@@ -140,10 +151,11 @@ class TestSpaExtractor:
 
     def test_missing_tensor_is_zero_image(self, tensors, labels, cohort):
         ex = SpaFeatureExtractor(grid=12, filters=3, epochs=1, seed=0)
-        ex.fit(tensors, labels, LABELS)
-        out = ex.transform(tensors, ["ghost_matcher"], ["PO"])
+        data = SimpleNamespace(heatmaps=tensors)
+        ex.fit(data, labels)
+        out = ex.transform(data, ["ghost_matcher"])
         assert np.isfinite(out[ex.feature_names()].to_numpy()).all()
 
     def test_transform_before_fit_raises(self, tensors):
         with pytest.raises(RuntimeError):
-            SpaFeatureExtractor(grid=12).transform(tensors, ["x"], ["PO"])
+            SpaFeatureExtractor(grid=12).transform(SimpleNamespace(heatmaps=tensors), ["x"])

@@ -1,4 +1,9 @@
 """Human-matcher simulator substrate: tasks, traits, generation, cohorts."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -224,6 +229,28 @@ class TestCohort:
         c2 = build_cohort("PO", n_matchers=4, seed=9)
         pd.testing.assert_frame_equal(c1.decisions, c2.decisions)
         pd.testing.assert_frame_equal(c1.mouse, c2.mouse)
+
+    def test_deterministic_across_processes(self, tmp_path):
+        """One seed gives one cohort whatever the process's string-hash
+        seed (``PYTHONHASHSEED``)."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import sys; from repro.humansim import build_cohort; "
+            "c = build_cohort('PO', n_matchers=3, seed=9); "
+            "c.decisions.to_pickle(sys.argv[1] + '.dec'); "
+            "c.mouse.to_pickle(sys.argv[1] + '.mouse')"
+        )
+        for hs in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hs, "PYTHONPATH": src}
+            subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / hs)], env=env, check=True
+            )
+        for part in ("dec", "mouse"):
+            pd.testing.assert_frame_equal(
+                pd.read_pickle(tmp_path / f"1.{part}"), pd.read_pickle(tmp_path / f"2.{part}")
+            )
 
     def test_bad_kind_raises(self):
         with pytest.raises(ValueError):
